@@ -151,7 +151,7 @@ def run_lb_ablation(duration: float = 2.0) -> dict:
         plane = build_plane("s-spright", node, functions)
         if policy == "round_robin":
             plane.runtime.routing.pick_instance = (  # type: ignore[method-assign]
-                lambda fn, _d=plane.deployments["fn-1"]: _d.pick_round_robin()
+                lambda fn, exclude=None, _d=plane.deployments["fn-1"]: _d.pick_round_robin(exclude)
             )
         recorder = LatencyRecorder()
         generator = ClosedLoopGenerator(

@@ -171,19 +171,6 @@ class KernelOps:
         yield self.copy(nbytes, trace, stage, tag)
         yield self.protocol_processing(nbytes, trace, stage, tag)
 
-    def socket_recv(
-        self,
-        nbytes: int,
-        trace: Optional[RequestTrace],
-        stage: Optional[Stage],
-        tag: Optional[str] = None,
-    ):
-        """``recv()`` path: interrupt + stack + copy to user + wakeup."""
-        yield self.interrupt(trace, stage, tag=tag)
-        yield self.protocol_processing(nbytes, trace, stage, tag)
-        yield self.copy(nbytes, trace, stage, tag)
-        yield self.context_switch(trace, stage, tag)
-
 
 class OpBundle:
     """Accumulates audited operations, committing one combined CPU charge.

@@ -152,6 +152,7 @@ class Autoscaler:
         in_flight = deployment.total_in_flight()
         reported = self.metrics.concurrency(name, now)
         load = max(in_flight, reported)
+        scale = deployment.scale
         if load > 0:
             previous = self._last_traffic.get(deployment.cpu_tag)
             if (
@@ -174,10 +175,8 @@ class Autoscaler:
             load, policy.target_concurrency, minimum, deployment.spec.max_scale
         )
         # Panic mode: badly over target -> scale up immediately and steeply.
-        if deployment.scale and load > policy.panic_threshold * (
-            policy.target_concurrency * deployment.scale
-        ):
-            desired = max(desired, min(deployment.scale * 2, deployment.spec.max_scale))
+        if scale and load > policy.panic_threshold * (policy.target_concurrency * scale):
+            desired = max(desired, min(scale * 2, deployment.spec.max_scale))
 
         if desired == 0:
             idle_since = self._last_traffic.get(deployment.cpu_tag)
@@ -185,27 +184,24 @@ class Autoscaler:
                 idle_since = 0.0
             if keepalive is not None:
                 desired = self._keepalive_desired(
-                    deployment, keepalive, idle_since, now
+                    deployment.spec.name, scale, keepalive, idle_since, now
                 )
-            else:
-                if now - idle_since < policy.grace_period:
-                    # Still inside the grace period: hold at least one pod.
-                    desired = max(1, deployment.scale) if deployment.scale else 0
-                if deployment.scale == 0:
-                    desired = 0
+            elif now - idle_since < policy.grace_period:
+                # Still inside the grace period: hold what exists.
+                desired = scale
 
-        if desired != deployment.scale:
+        if desired != scale:
             deployment.scale_to(desired)
 
     def _keepalive_desired(
         self,
-        deployment: Deployment,
+        name: str,
+        scale: int,
         keepalive: "KeepAlivePolicy",
         idle_since: float,
         now: float,
     ) -> int:
         """The policy's verdict for a function with no measured load."""
-        name = deployment.spec.name
         cached = self._plans.get(name)
         if cached is None or cached[0] != idle_since:
             plan = keepalive.plan_after(name, idle_since)
@@ -215,14 +211,14 @@ class Autoscaler:
         if now <= plan.warm_until:
             # Inside the keep-alive window: hold what exists, never
             # resurrect a pod the policy already reaped.
-            return max(1, deployment.scale) if deployment.scale else 0
+            return scale
         if (
             plan.prewarm_at is not None
             and plan.prewarm_until is not None
             and plan.prewarm_at <= now <= plan.prewarm_until
         ):
             # Predicted next-arrival window: make sure a warm pod exists.
-            return max(1, deployment.scale)
+            return max(1, scale)
         return 0
 
     def activate(self, deployment: Deployment) -> None:

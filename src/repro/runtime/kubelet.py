@@ -20,7 +20,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Deployment:
-    """All pods of one function on one node."""
+    """The pods of one function on one node that have not terminated.
+
+    A pod leaves ``pods`` once it has terminated and no request holds or
+    awaits one of its slots, so every scan costs O(live pods). History
+    lives in the counters ``Kubelet.pods_created`` and ``cold_starts``.
+    """
 
     def __init__(self, kubelet: "Kubelet", spec: FunctionSpec, cpu_tag: str) -> None:
         self.kubelet = kubelet
@@ -64,6 +69,9 @@ class Deployment:
         return len(self.live_pods())
 
     def total_in_flight(self) -> int:
+        # A pod torn down mid-request counts until its requests end; the
+        # first scan that finds it drained drops it.
+        self._drop_terminated()
         return sum(pod.in_flight for pod in self.pods) + self.waiting
 
     # -- pod selection ---------------------------------------------------------
@@ -130,8 +138,17 @@ class Deployment:
 
     def _notify_terminated(self, pod_event: Event) -> None:
         pod = pod_event.value
+        self._drop_terminated()
         for callback in self.pod_terminated_callbacks:
             callback(pod)
+
+    def _drop_terminated(self) -> None:
+        """Forget terminated pods that no request holds or awaits."""
+        self.pods = [
+            pod
+            for pod in self.pods
+            if pod.phase is not PodPhase.TERMINATED or not pod.drained
+        ]
 
     def note_cold_start(self) -> None:
         """Count one scale-from-zero activation against this function."""

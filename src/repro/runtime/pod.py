@@ -128,6 +128,11 @@ class Pod:
         self.terminated.succeed(self)
 
     @property
+    def drained(self) -> bool:
+        """No request holds or awaits one of this pod's slots."""
+        return self._slots.count == 0 and self._slots.queue_length == 0
+
+    @property
     def is_servable(self) -> bool:
         return self.phase is PodPhase.RUNNING and self.healthy
 

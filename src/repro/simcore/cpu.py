@@ -222,9 +222,6 @@ class CpuSet:
         chosen.submit(duration, tag, done, op=op)
         return done
 
-    def execute_cycles(self, cycles: float, tag: str, op=None) -> Event:
-        return self.execute(self.cycles_to_seconds(cycles), tag, op=op)
-
     def dedicate(self, tag: str) -> DedicatedCore:
         """Pin an idle shared core for a poll-mode component."""
         if not self._shared:

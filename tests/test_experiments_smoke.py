@@ -4,6 +4,8 @@ Full-scale regeneration lives in benchmarks/; these short runs guard the
 runner plumbing (construction, reporting, determinism) in the unit suite.
 """
 
+import math
+
 import pytest
 
 from repro.experiments import (
@@ -97,6 +99,13 @@ def test_xdp_runner_short():
 def test_hugepage_ablation_values():
     result = ablations.run_hugepage_ablation(payloads=(1024,))
     assert result[1024]["saving"] == pytest.approx(0.15, abs=0.01)
+
+
+def test_lb_ablation_runs_both_policies():
+    result = ablations.run_lb_ablation(duration=0.2)
+    assert set(result) == {"residual", "round_robin"}
+    for latencies in result.values():
+        assert all(math.isfinite(value) and value > 0 for value in latencies.values())
 
 
 def test_experiment_results_deterministic_across_runs():

@@ -311,6 +311,58 @@ def test_activator_starts_zero_scaled_function():
     assert deployment.scale == 1
 
 
+def test_scale_to_zero_cycles_leave_no_terminated_pods():
+    node = make_node()
+    kubelet = Kubelet(node, cold_start_enabled=True, termination_lag=0.0)
+    metrics = MetricsServer()
+    autoscaler = Autoscaler(node, metrics)
+    deployment = kubelet.deployment(FunctionSpec(name="f", min_scale=0), "t/fn/f")
+    autoscaler.register(
+        deployment, AutoscalerPolicy(scale_to_zero=True, grace_period=5.0)
+    )
+    autoscaler.start()
+
+    def cycles(env):
+        for _ in range(50):
+            autoscaler.activate(deployment)
+            yield deployment.any_servable_event()
+            yield env.timeout(10.0)  # grace period passes; the pod is reaped
+
+    node.env.process(cycles(node.env))
+    node.run(until=50 * 40.0)
+    assert deployment.scale == 0
+    assert kubelet.pods_created == 50
+    assert not any(pod.phase is PodPhase.TERMINATED for pod in deployment.pods)
+
+
+def test_pod_terminated_mid_request_counts_until_its_request_ends():
+    node = make_node()
+    kubelet = Kubelet(node, cold_start_enabled=False, termination_lag=0.0)
+    deployment = kubelet.deployment(
+        FunctionSpec(name="f", service_time=1.0, service_dist="deterministic"),
+        "t/fn/f",
+    )
+    deployment.scale_to(1)
+    (pod,) = deployment.pods
+
+    def client(env):
+        yield pod.ready
+        yield env.process(pod.serve(b"x"))
+
+    def reaper(env):
+        yield env.timeout(0.1)
+        pod.terminate()
+
+    node.env.process(client(node.env))
+    node.env.process(reaper(node.env))
+    node.run(until=0.2)
+    assert pod.phase is PodPhase.TERMINATED
+    assert deployment.total_in_flight() == 1
+    node.run(until=1.5)
+    assert deployment.total_in_flight() == 0
+    assert pod not in deployment.pods
+
+
 # -- metrics server --------------------------------------------------------------------
 
 def test_metrics_server_staleness():

@@ -540,7 +540,7 @@ def test_plane_profiles_encode_the_papers_cost_story():
 def test_tables_match_pre_traffic_golden():
     """Tables 1/2 are byte-identical to the golden captured before the
     traffic subsystem existed — its hooks must be inert when unused.
-    (CI's traffic-smoke job extends this guard to Fig 11 and Figs 9/10.)"""
+    (tests/test_goldens.py extends this guard to Fig 11 and Figs 9/10.)"""
     from pathlib import Path
 
     from repro.experiments import audits
