@@ -13,7 +13,7 @@ from typing import Optional
 
 from .isa import Program, ProgramType
 from .verifier import verify
-from .vm import RunResult, Scratch, Vm
+from .vm import RunResult, Scratch, Vm, lower
 
 
 class HookError(Exception):
@@ -46,7 +46,8 @@ class HookPoint:
         self.name = name
         self.prog_type = prog_type
         self.vm = vm
-        self.programs: list[Program] = []
+        # Attached programs, each next to its lowering (made once, at attach).
+        self._attached: list[tuple[Program, list[tuple]]] = []
         self.fire_count = 0
         self.total_insns = 0
 
@@ -58,22 +59,30 @@ class HookPoint:
                 f"{program.name!r} to {self.prog_type.value} hook {self.name!r}"
             )
         verify(program)
-        self.programs.append(program)
+        self._attached.append((program, lower(program)))
 
     def detach(self, program: Program) -> None:
         try:
-            self.programs.remove(program)
+            index = self.programs.index(program)
         except ValueError:
             raise HookError(f"{program.name!r} is not attached to {self.name!r}") from None
+        del self._attached[index]
+
+    @property
+    def programs(self) -> list[Program]:
+        return [program for program, _ in self._attached]
 
     @property
     def is_armed(self) -> bool:
-        return bool(self.programs)
+        return bool(self._attached)
 
     def fire(self, data: bytes = b"", scratch: Optional[Scratch] = None) -> HookRun:
         """Run all attached programs on an event. No programs -> no work."""
         scratch = scratch or Scratch(map_registry=self.vm.map_registry)
-        results = [self.vm.run(program, data=data, scratch=scratch) for program in self.programs]
+        results = [
+            self.vm.run(program, data=data, scratch=scratch, lowered=lowered)
+            for program, lowered in self._attached
+        ]
         run = HookRun(results=results)
         self.fire_count += 1
         self.total_insns += run.insns_executed

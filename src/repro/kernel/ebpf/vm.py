@@ -84,7 +84,8 @@ def _u64(value: int) -> int:
 
 # -- precompilation ---------------------------------------------------------
 # The interpreter hot loop dispatches on small integers rather than Op enum
-# members; each Program is lowered once and cached. Categories:
+# members; each Program is lowered once (at hook attach, or on its first
+# direct ``Vm.run``). Categories:
 _CAT_EXIT, _CAT_CALL, _CAT_JA, _CAT_JMP, _CAT_LOAD, _CAT_STORE, _CAT_ALU = range(7)
 
 _JMP_CODES = {
@@ -104,7 +105,7 @@ _LOAD_CODES = {Op.LD8: 1, Op.LD16: 2, Op.LD32: 4, Op.LD64: 8}
 _STORE_CODES = {Op.ST8: 1, Op.ST16: 2, Op.ST32: 4, Op.ST64: 8, Op.ST_IMM32: 4}
 
 
-def _lower(program: Program) -> list[tuple]:
+def lower(program: Program) -> list[tuple]:
     """Lower a Program to (category, code, dst, src, off, imm) tuples."""
     lowered = []
     for insn in program.insns:
@@ -153,19 +154,20 @@ class Vm:
             HELPER_ARRAY_ADD: self._helper_array_add,
         }
 
-        self._compiled: dict[int, list[tuple]] = {}
+        # id(program) -> (program, lowering). The entry holds its program, so
+        # the id cannot be recycled for another program while it is cached.
+        self._compiled: dict[int, tuple[Program, list[tuple]]] = {}
 
     def register_helper(self, helper_id: int, fn: Callable) -> None:
         """Install a custom helper (tests and extensions)."""
         self._helpers[helper_id] = fn
 
     def _compile(self, program: Program) -> list[tuple]:
-        key = id(program)
-        lowered = self._compiled.get(key)
-        if lowered is None:
-            lowered = _lower(program)
-            self._compiled[key] = lowered
-        return lowered
+        entry = self._compiled.get(id(program))
+        if entry is None or entry[0] is not program:
+            entry = (program, lower(program))
+            self._compiled[id(program)] = entry
+        return entry[1]
 
     # -- execution -----------------------------------------------------------
     def run(
@@ -173,8 +175,15 @@ class Vm:
         program: Program,
         data: bytes = b"",
         scratch: Optional[Scratch] = None,
+        lowered: Optional[list[tuple]] = None,
     ) -> RunResult:
-        """Execute ``program`` with ``data`` as its context region."""
+        """Execute ``program`` with ``data`` as its context region.
+
+        ``lowered`` is ``lower(program)`` made by the caller (hook points
+        lower at attach); without it the program is lowered on first run.
+        """
+        if lowered is None:
+            lowered = self._compile(program)
         scratch = scratch or Scratch(map_registry=self.map_registry)
         if scratch.map_registry is None:
             scratch.map_registry = self.map_registry
@@ -184,7 +193,6 @@ class Vm:
         regs[R1] = 0            # context pointer
         regs[R10] = mem_limit   # frame pointer (top of stack)
 
-        lowered = self._compile(program)
         program_len = len(lowered)
         helpers = self._helpers
         mask = WORD_MASK

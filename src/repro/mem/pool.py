@@ -22,6 +22,7 @@ additionally counts violations and tracks allocation sites for leak reports.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -86,7 +87,11 @@ class SharedMemoryPool:
         self.buffer_size = buffer_size
         self.capacity = capacity
         self.use_hugepages = use_hugepages
-        self._memory = bytearray(buffer_size * capacity)
+        # Private anonymous mapping: the kernel hands out zeroed pages on
+        # first touch, so set-up cost and resident memory follow the buffers
+        # a run writes, not the configured capacity. MAP_PRIVATE (not mmap's
+        # default MAP_SHARED) keeps a forked child's writes out of the parent.
+        self._memory = mmap.mmap(-1, buffer_size * capacity, flags=mmap.MAP_PRIVATE)
         self._free_offsets = [index * buffer_size for index in range(capacity)]
         self._in_use: dict[int, BufferHandle] = {}
         # Per-slot allocation generation, bumped on every alloc of that slot.

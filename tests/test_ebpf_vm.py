@@ -6,6 +6,7 @@ from repro.kernel.ebpf import (
     Assembler,
     ArrayMap,
     HashMap,
+    HookPoint,
     HELPER_ARRAY_ADD,
     HELPER_KTIME_GET_NS,
     HELPER_MAP_LOOKUP,
@@ -252,3 +253,35 @@ def test_duplicate_label_rejected():
 def test_invalid_register_rejected():
     with pytest.raises(ValueError, match="invalid register"):
         Insn(Op.MOV_IMM, dst=11)
+
+
+def _returns(value):
+    return Assembler(f"ret{value}").mov_imm(R0, value).exit_().build(ProgramType.XDP)
+
+
+def test_vm_run_never_serves_a_freed_programs_lowering():
+    """Each freshly built program runs its own code, even when the
+    allocator hands it the address of a program that is already gone."""
+    vm = Vm()
+    for value in range(200):
+        assert vm.run(_returns(value)).return_value == value
+
+
+def test_hook_programs_survive_id_reuse():
+    """Programs attached, fired and dropped until one reuses a dead
+    program's id: the reused id must not bring back the old lowering."""
+    vm = Vm()
+    seen = set()
+    for value in range(1000):
+        program = _returns(value)
+        reused = id(program) in seen
+        seen.add(id(program))
+        hook = HookPoint("xdp@test", ProgramType.XDP, vm)
+        hook.attach(program)
+        assert hook.fire().verdict == value
+        del hook, program
+        if reused:
+            break
+    else:
+        pytest.skip("the allocator never reused a program's id")
+    assert not vm._compiled  # hooks keep their lowering; nothing piles up

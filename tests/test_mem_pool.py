@@ -1,5 +1,7 @@
 """Tests for shared memory pools, descriptors, rings, and chain managers."""
 
+import os
+
 import pytest
 
 from repro.mem import (
@@ -187,6 +189,58 @@ def test_pool_peak_in_use_tracked():
     for handle in handles:
         pool.free(handle)
     assert pool.stats.peak_in_use == 3
+
+
+def _resident_bytes():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm"
+)
+def test_pool_memory_is_resident_only_once_written():
+    """Pool memory is mapped on demand: capacity costs no resident memory."""
+    mib = 1024 * 1024
+    before = _resident_bytes()
+    pool = make_pool(buffer_size=16 * 1024, capacity=16384)  # 256 MiB
+    created = _resident_bytes()
+    assert pool.total_bytes == 256 * mib
+    assert created - before < 16 * mib
+    payload = b"\xab" * pool.buffer_size
+    for _ in range(64):
+        pool.write(pool.alloc(), payload)
+    assert _resident_bytes() - created < 16 * mib
+
+
+def test_pool_unwritten_bytes_read_as_zeros():
+    pool = make_pool(buffer_size=256, capacity=8)
+    handle = pool.alloc()
+    pool.write(handle, b"head")
+    assert pool.read_at(handle.offset, 256) == b"head" + bytes(252)
+    for offset in range(0, pool.total_bytes, 256):
+        if offset != handle.offset:
+            assert pool.read_at(offset, 256) == bytes(256)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_writes_in_a_forked_child_stay_private():
+    """A forked child (the fleet runner's workers) must not write through to
+    the parent's pool: the backing mapping is private, copy-on-write."""
+    pool = make_pool()
+    handle = pool.alloc()
+    pool.write(handle, b"parent")
+    pid = os.fork()
+    if pid == 0:  # child: always leave through os._exit, never back into pytest
+        code = 2
+        try:
+            pool.write(handle, b"child!")
+            code = 0 if pool.read(handle) == b"child!" else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert pool.read(handle) == b"parent"
 
 
 # -- registry / isolation -------------------------------------------------------
