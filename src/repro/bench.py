@@ -1,10 +1,11 @@
-"""The continuous benchmark trajectory: ``spright-repro bench``.
+"""The bench trajectory harness: a library that no command runs.
 
-ROADMAP item 1 demands a perf baseline *before* the DES speed overhaul; this
-module is that baseline and the harness every later perf PR reruns. A fixed
-scenario matrix — boutique and motion chains × all five dataplanes ×
-1- and 3-node clusters — is driven through the cluster dataplane with a
-fixed seed, and each cell reports three throughput numbers:
+``simbench/`` is the repo's benchmark (same-machine medians); this harness
+gates against ``BENCH_*.json`` files written on other machines, which
+ROADMAP item 2 shows is noise-bound. A fixed scenario matrix — boutique and
+motion chains × all five dataplanes × 1- and 3-node clusters — is driven
+through the cluster dataplane with a fixed seed, and each cell reports
+three throughput numbers:
 
 * **wall_s** — wall-clock seconds the simulation loop took (the quantity a
   perf PR moves);
@@ -15,9 +16,9 @@ fixed seed, and each cell reports three throughput numbers:
 ``run_bench`` emits a schema-checked payload; ``write_trajectory`` persists
 it as ``BENCH_<pr>.json`` at the repo root, and ``compare`` gates the new
 trajectory point against the newest prior ``BENCH_*.json`` within a
-tolerance (default 15%, matching the CI job). Requests/events counts are
-deterministic for a seed, so a count change flags a *behavioral* change
-even when timing noise hides a throughput one.
+tolerance (default 15%). Requests/events counts are deterministic for a
+seed, so a count change flags a *behavioral* change even when timing noise
+hides a throughput one.
 """
 
 from __future__ import annotations

@@ -192,6 +192,6 @@ def format_report() -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro ablations``."""
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro ablations`` (no keys)."""
     return format_report()

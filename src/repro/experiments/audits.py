@@ -72,6 +72,6 @@ def format_report() -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro tables``."""
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro tables`` (no keys)."""
     return format_report()

@@ -172,13 +172,10 @@ def format_fig10(comparison: BoutiqueComparison) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro boutique``."""
-    config = dict(config or {})
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro boutique``."""
     comparison = BoutiqueComparison().run_all(
-        scale=config.get("scale", 0.1),
-        duration=config.get("duration", 60.0),
-        seed=config.get("seed", 2022),
+        scale=config["scale"], duration=config["duration"], seed=config["seed"]
     )
     return "\n\n".join(
         [

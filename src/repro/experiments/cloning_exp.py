@@ -236,13 +236,12 @@ def format_report(lab: CloningLab) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro cloning``."""
-    config = dict(config or {})
-    duration = config.get("duration", 20.0)
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro cloning``."""
+    duration = config["duration"]
     lab = run_cloning_lab(
         validation_duration=duration,
-        sweep_duration=config.get("sweep_duration", duration * 0.3),
-        seed=config.get("seed", 2022),
+        sweep_duration=duration * 0.3,
+        seed=config["seed"],
     )
     return format_report(lab)

@@ -317,18 +317,17 @@ def format_report(sweep: dict) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro cluster``."""
-    config = dict(config or {})
-    placement = config.get("placement", "all")
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro cluster``."""
+    placement = config["placement"]
     policies = POLICIES if placement == "all" else (placement,)
-    nodes = config.get("nodes", 3)
+    nodes = config["nodes"]
     node_counts = (1, nodes) if nodes > 1 else (1,)
     sweep = run_cluster_sweep(
-        planes=tuple(config.get("planes") or CLUSTER_PLANES),
+        planes=config["planes"],
         policies=policies,
         node_counts=node_counts,
-        duration=config.get("duration", 2.0),
-        seed=config.get("seed", 2022),
+        duration=config["duration"],
+        seed=config["seed"],
     )
     return format_report(sweep)

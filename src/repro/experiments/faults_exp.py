@@ -238,28 +238,25 @@ def run_resilience_suite(
     return results
 
 
-def run_config(config: Optional[dict] = None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro faults``."""
-    config = dict(config or {})
-    plan_spec = config.get("fault_plan", "loss-crash")
-    if isinstance(plan_spec, FaultPlan):
-        plan = plan_spec
-    elif isinstance(plan_spec, dict):
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro faults``."""
+    plan_spec = config["plan"]
+    if isinstance(plan_spec, dict):
         plan = FaultPlan.from_dict(plan_spec)
     else:
         plan = load_plan(plan_spec)
-    duration = config.get("duration", 30.0)
+    duration = config["duration"]
     results = run_resilience_suite(
         fault_plan=plan,
-        planes=tuple(config.get("planes", ALL_PLANES)),
-        scale=config.get("scale", 0.1),
+        planes=config["planes"],
+        scale=config["scale"],
         boutique_duration=duration,
-        motion_duration=config.get("motion_duration", duration * 20),
-        seed=config.get("seed", 2022),
-        retries=config.get("retries", 2),
-        hedge_delay=config.get("hedge_delay"),
-        timeout=config.get("request_timeout", 1.0),
-        clone_factor=config.get("clone_factor", "optimal"),
+        motion_duration=duration * 20,
+        seed=config["seed"],
+        retries=config["retries"],
+        hedge_delay=config["hedge_delay"],
+        timeout=config["timeout"],
+        clone_factor=config["clone_factor"],
     )
     return "\n\n".join(
         [

@@ -93,7 +93,6 @@ def format_report(results: list[SidecarResult]) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro fig2``."""
-    config = dict(config or {})
-    return format_report(run_fig2(duration=config.get("duration", 5.0)))
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro fig2``."""
+    return format_report(run_fig2(duration=config["duration"]))

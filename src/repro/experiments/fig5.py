@@ -123,11 +123,9 @@ def format_report(result: Fig5Result) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro fig5``."""
-    config = dict(config or {})
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro fig5``."""
     result = run_fig5(
-        max_concurrency=config.get("max_concurrency", 512),
-        duration=config.get("duration", 1.0),
+        max_concurrency=config["max_concurrency"], duration=config["duration"]
     )
     return format_report(result)

@@ -156,10 +156,7 @@ def format_report(runs: dict) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro motion``."""
-    config = dict(config or {})
-    runs = run_fig11(
-        duration=config.get("duration", 3600.0), seed=config.get("seed", 2022)
-    )
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro motion``."""
+    runs = run_fig11(duration=config["duration"], seed=config["seed"])
     return format_report(runs)

@@ -139,10 +139,7 @@ def format_report(runs: dict) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro parking``."""
-    config = dict(config or {})
-    runs = run_fig12(
-        duration=config.get("duration", 700.0), seed=config.get("seed", 2022)
-    )
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro parking``."""
+    runs = run_fig12(duration=config["duration"], seed=config["seed"])
     return format_report(runs)

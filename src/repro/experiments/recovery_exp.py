@@ -486,20 +486,18 @@ def format_overload_comparison(results: Sequence[RecoveryRunResult]) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro recovery``."""
-    config = dict(config or {})
-    duration = config.get("duration", 30.0)
-    include_overload = config.get("include_overload", True)
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro recovery``."""
+    duration = config["duration"]
     results = run_recovery_suite(
-        planes=tuple(config.get("planes") or ALL_PLANES),
-        scale=config.get("scale", 0.1),
+        planes=config["planes"],
+        scale=config["scale"],
         boutique_duration=duration,
-        motion_duration=config.get("motion_duration", duration * 20),
-        seed=config.get("seed", 2022),
-        include_overload=include_overload,
+        motion_duration=duration * 20,
+        seed=config["seed"],
+        include_overload=config["overload"],
     )
     sections = [format_availability_table(results)]
-    if include_overload:
+    if config["overload"]:
         sections.append(format_overload_comparison(results))
     return "\n\n".join(sections)

@@ -13,8 +13,9 @@ kernel op, and the simulated-CPU profiler — then reports:
   are incremented by the same ``KernelOps`` call under the same condition;
 * the profiler's hottest stacks.
 
-Artifacts (Chrome/Perfetto ``trace_event`` JSON, OpenMetrics text, folded
-flamegraph stacks) are written by :func:`write_trace_artifacts`.
+With ``--out``, the scenario runner writes the artifacts (Chrome/Perfetto
+``trace_event`` JSON, OpenMetrics text, folded flamegraph stacks) as
+``<plane>-<workload>.*``, the name :func:`run_traced` gives the session.
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ def run_traced(
             )
     finally:
         set_default_observe(trace=saved[0], profile=saved[1])
+    run.obs.export_name = f"{run.plane_obj.plane}-{workload}"
     _record_latency_histogram(run)
     return run
 
@@ -200,35 +202,14 @@ def format_trace_report(run: TracedRun) -> str:
     return "\n\n".join(sections)
 
 
-def write_trace_artifacts(run: TracedRun, directory) -> list:
-    """Write trace/metrics/flamegraph artifacts; returns written paths."""
-    from ..obs import export
-
-    basename = f"{run.plane_obj.plane}-{run.workload}"
-    return export.write_artifacts(
-        directory,
-        tracer=run.obs.tracer,
-        registry=run.obs.registry,
-        profiler=run.obs.profiler,
-        basename=basename,
-    )
-
-
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro trace``."""
-    config = dict(config or {})
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro trace``."""
+    (plane,) = config["planes"]
     run = run_traced(
-        plane=config.get("plane", "s-spright"),
-        workload=config.get("workload", "boutique"),
-        scale=config.get("scale", 0.1),
-        duration=config.get("duration", 10.0),
-        seed=config.get("seed", 2022),
+        plane=plane,
+        workload=config["kind"],
+        scale=config["scale"],
+        duration=config["duration"],
+        seed=config["seed"],
     )
-    report = format_trace_report(run)
-    out = config.get("out")
-    if out:
-        from pathlib import Path
-
-        paths = write_trace_artifacts(run, Path(out))
-        report += "\n\nArtifacts:\n" + "\n".join(f"  {path}" for path in paths)
-    return report
+    return format_trace_report(run)

@@ -173,17 +173,16 @@ def format_report(lab: TrafficLab) -> str:
     return "\n\n".join([format_traffic_table(lab), format_verdict(lab)])
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro traffic``."""
-    config = dict(config or {})
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro traffic``."""
     lab = run_traffic_lab(
-        planes=tuple(config.get("planes") or ALL_PLANES),
-        policies=tuple(config.get("policies") or ALL_POLICIES),
-        patterns=tuple(config.get("patterns") or ALL_PATTERNS),
-        functions=config.get("functions", 12),
-        duration=config.get("duration", 14400.0),
-        seed=config.get("seed", 2022),
-        slo_threshold=config.get("slo_threshold", 0.25),
-        processes=config.get("processes", 1),
+        planes=config["planes"],
+        policies=config["policies"],
+        patterns=config["patterns"],
+        functions=config["functions"],
+        duration=config["duration"],
+        seed=config["seed"],
+        slo_threshold=config["threshold_s"],
+        processes=config["processes"],
     )
     return format_report(lab)

@@ -83,7 +83,6 @@ def format_report(comparison: dict) -> str:
     )
 
 
-def run_config(config=None) -> str:
-    """Shared CLI/scenario entry point for ``spright-repro xdp``."""
-    config = dict(config or {})
-    return format_report(run_xdp_comparison(duration=config.get("duration", 2.0)))
+def run_config(config: dict) -> str:
+    """Scenario entry point for ``spright-repro xdp``."""
+    return format_report(run_xdp_comparison(duration=config["duration"]))

@@ -16,8 +16,8 @@ run's tables equal an untraced run's byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import weakref
 from typing import TYPE_CHECKING, Optional
 
 from . import export, live, slo
@@ -59,9 +59,9 @@ def set_default_live_sink(sink: Optional["live.LiveSink"]) -> None:
 def default_live_sink() -> Optional["live.LiveSink"]:
     return _default_live_sink
 
-#: Observability bundles with tracing/profiling enabled this process, in
-#: creation order — how the CLI finds what to export after a ``--trace`` run.
-_SESSIONS: list = []
+#: Open ``capture_sessions`` lists; each collects the bundles that enable
+#: tracing or profiling while it is open.
+_CAPTURES: list[list] = []
 
 
 def set_default_observe(
@@ -80,19 +80,16 @@ def default_observe() -> tuple[bool, bool]:
     return (_default_trace, _default_profile)
 
 
-def active_sessions() -> list["Observability"]:
-    """Live Observability bundles that enabled tracing or profiling."""
-    alive = []
-    for ref in _SESSIONS:
-        session = ref()
-        if session is not None:
-            alive.append(session)
-    return alive
-
-
-def reset_sessions() -> None:
-    """Forget recorded sessions (test isolation)."""
-    _SESSIONS.clear()
+@contextlib.contextmanager
+def capture_sessions():
+    """Collect, and keep alive, every bundle that enables tracing or
+    profiling inside the block: what ``--out`` exports after a run."""
+    captured: list = []
+    _CAPTURES.append(captured)
+    try:
+        yield captured
+    finally:
+        _CAPTURES.remove(captured)
 
 
 class Observability:
@@ -105,6 +102,8 @@ class Observability:
         self.counters = LegacyCounters(self.registry)
         self.tracer: Optional[Tracer] = None
         self.profiler: Optional[CpuProfiler] = None
+        #: Basename its ``--out`` artifacts take; None means ``<run>-node<i>``.
+        self.export_name: Optional[str] = None
         self._kernel_counters: dict = {}
         self._registered = False
         if _default_live_sink is not None:
@@ -127,7 +126,8 @@ class Observability:
     def _register(self) -> None:
         if not self._registered:
             self._registered = True
-            _SESSIONS.append(weakref.ref(self))
+            for captured in _CAPTURES:
+                captured.append(self)
 
     @property
     def detailed(self) -> bool:
@@ -162,14 +162,13 @@ __all__ = [
     "Observability",
     "Span",
     "Tracer",
-    "active_sessions",
+    "capture_sessions",
     "coverage",
     "default_live_sink",
     "default_observe",
     "export",
     "live",
     "log_bucket_bounds",
-    "reset_sessions",
     "sanitize_metric_name",
     "set_default_live_sink",
     "set_default_observe",

@@ -33,8 +33,10 @@ touches live simulation state.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import queue as queue_module
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -594,3 +596,27 @@ class DashboardServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+
+
+@contextlib.contextmanager
+def dashboard_session(host: str = "127.0.0.1", port: int = 0):
+    """Run a live dashboard around a block of simulation work.
+
+    Installs a process-wide :class:`LiveSink` (every node created inside
+    the block auto-attaches) and serves it over HTTP/SSE. The URL is
+    printed to **stderr** so the wrapped command's stdout stays
+    byte-identical to a headless run.
+    """
+    from . import set_default_live_sink
+
+    sink = LiveSink()
+    server = DashboardServer(sink, host=host, port=port)
+    server.start()
+    set_default_live_sink(sink)
+    print(f"spright-repro dashboard: {server.url}", file=sys.stderr)
+    try:
+        yield sink, server
+    finally:
+        set_default_live_sink(None)
+        sink.detach_all()
+        server.stop()

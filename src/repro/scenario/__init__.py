@@ -17,14 +17,17 @@ Design contract (see DESIGN.md "Scenario engine"):
 * **validated with precise paths** — a hand-rolled JSON-schema-style
   validator (:mod:`repro.scenario.schema`) rejects unknown keys, wrong
   types, and bad enum members with JSON-pointer-style error paths;
-* **byte-identical to flags** — scenarios resolve
-  (:mod:`repro.scenario.resolve`) into the same ``run_config`` entry
-  points the flag CLI calls, so the checked-in goldens double as scenario
+* **one surface** — every flag command is a translation into a scenario
+  document (:mod:`repro.cli`), resolved (:mod:`repro.scenario.resolve`)
+  and executed here, so a scenario's stdout is byte-identical to the
+  equivalent flags and the checked-in goldens double as scenario
   regression fixtures;
 * **deterministic seeds** — ``seed: auto`` derives the seed from the
   scenario *name*; the default stays the repo-wide legacy seed 2022;
-* **resolution order** — file < ``--set`` overrides, and conflicting
-  overrides are typed errors, never silent last-writer-wins.
+* **resolution order** — defaults (one table,
+  :data:`repro.scenario.resolve.DEFAULTS`) < file < ``--set`` overrides,
+  and conflicting overrides are typed errors, never silent
+  last-writer-wins.
 """
 
 from .parser import (
@@ -35,7 +38,7 @@ from .parser import (
     parse_yaml,
 )
 from .resolve import (
-    EXPERIMENT_SPECS,
+    DEFAULTS,
     LEGACY_SEED,
     ResolvedScenario,
     SEEDABLE,
@@ -73,8 +76,8 @@ from .schema import (
 
 __all__ = [
     "ARRIVAL_PATTERNS",
+    "DEFAULTS",
     "EXPERIMENT_NAMES",
-    "EXPERIMENT_SPECS",
     "FAULT_KINDS",
     "KEEPALIVE_POLICIES",
     "LEGACY_SEED",

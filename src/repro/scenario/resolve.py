@@ -1,22 +1,25 @@
-"""Resolution: validated scenario document -> experiment entry-point config.
+"""Resolution: scenario document -> experiment entry-point config.
 
 A scenario names one experiment family (the same set the flag CLI
 exposes) and composes sections — workload, planes, cluster topology,
 fault plan, resilience/cloning policy, keep-alive policy, admission/SLO
-targets, observability. This module:
+targets, observability. The flag CLI builds such a document from its
+flags, so both surfaces resolve here. This module:
 
-* checks cross-field consistency the shape schema cannot (a ``keepalive``
-  section on a ``boutique`` scenario, two planes on a ``trace`` scenario,
-  a custom seed on a fixed-seed experiment), with the same
-  JSON-pointer-style error paths as the validator;
-* applies ``--set key=value`` overrides (resolution order: file <
-  overrides; conflicting or type-confused overrides are typed errors);
+* applies ``--set key=value`` overrides (conflicting or type-confused
+  overrides are typed errors);
+* merges the experiment's row of :data:`DEFAULTS` under the document —
+  resolution order is defaults < file < ``--set`` — and validates the
+  result, so defaults and user input pass the same validator;
+* rejects sections and keys the experiment does not consume, and checks
+  what the shape schema cannot (a ``motion`` workload on a ``boutique``
+  scenario, two planes on a ``trace`` scenario, a custom seed on a
+  fixed-seed experiment), with JSON-pointer-style error paths;
 * derives the deterministic per-scenario seed (``seed: auto`` hashes the
   scenario *name*, so renaming a scenario is the only way to change its
   draw sequence);
-* emits the exact config dict the experiment's ``run_config`` entry point
-  consumes — the same entry point the flag CLI calls, which is what makes
-  a scenario's output byte-identical to the equivalent flag invocation.
+* emits the complete config dict the experiment's ``run_config`` entry
+  point indexes — one key per consumed scenario key, numbers as floats.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from __future__ import annotations
 import copy
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .parser import ScenarioParseError, _parse_flow, parse_scalar
 from .schema import (
+    SCENARIO_SCHEMA,
     ScenarioOverrideError,
     ScenarioValidationError,
+    coerce_numbers,
     validate_scenario,
 )
 
@@ -71,183 +75,64 @@ class ResolvedScenario:
     doc: dict = field(default_factory=dict)
 
 
-# -- section plumbing ----------------------------------------------------------
-def _fail(path: str, message: str):
-    raise ScenarioValidationError(path, message)
-
-
-def _workload(doc: dict) -> dict:
-    return doc.get("workload") or {}
-
-
-def _expect_kind(doc: dict, *allowed: str) -> Optional[str]:
-    kind = _workload(doc).get("kind")
-    if kind is not None and kind not in allowed:
-        _fail(
-            "/workload/kind",
-            f"{kind!r} does not run under experiment "
-            f"{doc['experiment']!r} (expected {' or '.join(map(repr, allowed))})",
-        )
-    return kind
-
-
-def _take(cfg: dict, section: dict, *keys: str, rename: Optional[dict] = None):
-    rename = rename or {}
-    for key in keys:
-        if key in section:
-            cfg[rename.get(key, key)] = section[key]
-
-
-def _resolve_tables(doc: dict) -> dict:
-    return {}
-
-
-def _resolve_fig2(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_fig5(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration", "max_concurrency")
-    return cfg
-
-
-def _resolve_boutique(doc: dict) -> dict:
-    _expect_kind(doc, "boutique")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "scale", "duration")
-    return cfg
-
-
-def _resolve_motion(doc: dict) -> dict:
-    _expect_kind(doc, "motion")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_parking(doc: dict) -> dict:
-    _expect_kind(doc, "parking")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_xdp(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-def _resolve_ablations(doc: dict) -> dict:
-    return {}
-
-
-def _resolve_faults(doc: dict) -> dict:
-    _expect_kind(doc, "boutique")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "scale", "duration")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    faults = doc.get("faults") or {}
-    if "plan" in faults:
-        cfg["fault_plan"] = faults["plan"]
-    resilience = doc.get("resilience") or {}
-    _take(
-        cfg,
-        resilience,
-        "retries",
-        "hedge_delay",
-        "clone_factor",
-        "timeout",
-        rename={"timeout": "request_timeout"},
-    )
-    return cfg
-
-
-def _resolve_recovery(doc: dict) -> dict:
-    _expect_kind(doc, "boutique")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "scale", "duration")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    admission = doc.get("admission") or {}
-    if "overload" in admission:
-        cfg["include_overload"] = admission["overload"]
-    return cfg
-
-
-def _resolve_trace(doc: dict) -> dict:
-    kind = _expect_kind(doc, "boutique", "motion")
-    cfg: dict = {}
-    if kind is not None:
-        cfg["workload"] = kind
-    _take(cfg, _workload(doc), "scale", "duration")
-    planes = doc.get("planes")
-    if planes is not None:
-        if len(planes) != 1:
-            _fail("/planes", "experiment 'trace' runs exactly one plane")
-        if planes[0] == "lambda-nic":
-            _fail("/planes/0", "experiment 'trace' does not support 'lambda-nic'")
-        cfg["plane"] = planes[0]
-    return cfg
-
-
-def _resolve_traffic(doc: dict) -> dict:
-    _expect_kind(doc, "synthetic-fleet")
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "functions", "duration", "processes")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    keepalive = doc.get("keepalive") or {}
-    if "policies" in keepalive:
-        cfg["policies"] = tuple(keepalive["policies"])
-    if "patterns" in keepalive:
-        cfg["patterns"] = tuple(keepalive["patterns"])
-    slo = doc.get("slo") or {}
-    if "threshold_s" in slo:
-        cfg["slo_threshold"] = slo["threshold_s"]
-    return cfg
-
-
-def _resolve_cluster(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    if "planes" in doc:
-        cfg["planes"] = tuple(doc["planes"])
-    cluster = doc.get("cluster") or {}
-    _take(cfg, cluster, "nodes", "placement")
-    return cfg
-
-
-def _resolve_cloning(doc: dict) -> dict:
-    cfg: dict = {}
-    _take(cfg, _workload(doc), "duration")
-    return cfg
-
-
-#: Per-experiment contract: which optional sections it consumes, and the
-#: resolver producing its run_config() dict. Sections outside the allowed
-#: set are rejected with a path — a keepalive block on a boutique scenario
-#: is a bug in the scenario, not dead weight to carry silently.
-EXPERIMENT_SPECS = {
-    "tables": ((), _resolve_tables),
-    "fig2": (("workload",), _resolve_fig2),
-    "fig5": (("workload",), _resolve_fig5),
-    "boutique": (("workload",), _resolve_boutique),
-    "motion": (("workload",), _resolve_motion),
-    "parking": (("workload",), _resolve_parking),
-    "xdp": (("workload",), _resolve_xdp),
-    "ablations": ((), _resolve_ablations),
-    "faults": (("workload", "planes", "faults", "resilience"), _resolve_faults),
-    "recovery": (("workload", "planes", "admission"), _resolve_recovery),
-    "trace": (("workload", "planes"), _resolve_trace),
-    "traffic": (("workload", "planes", "keepalive", "slo"), _resolve_traffic),
-    "cluster": (("workload", "planes", "cluster"), _resolve_cluster),
-    "cloning": (("workload",), _resolve_cloning),
+#: The one defaults table: per experiment, every key it consumes and its
+#: default, in document shape. ``resolve`` merges it under the document
+#: (defaults < file < --set), so ``run_config`` receives a complete config.
+#: A section or key absent here is one the experiment does not consume.
+_FOUR_PLANES = ["knative", "grpc", "s-spright", "d-spright"]
+DEFAULTS = {
+    "tables": {},
+    "fig2": {"workload": {"duration": 5.0}},
+    "fig5": {"workload": {"duration": 1.0, "max_concurrency": 512}},
+    "boutique": {"workload": {"kind": "boutique", "scale": 0.1, "duration": 60.0}},
+    "motion": {"workload": {"kind": "motion", "duration": 3600.0}},
+    "parking": {"workload": {"kind": "parking", "duration": 700.0}},
+    "xdp": {"workload": {"duration": 2.0}},
+    "ablations": {},
+    "faults": {
+        "workload": {"kind": "boutique", "scale": 0.1, "duration": 30.0},
+        "planes": _FOUR_PLANES,
+        "faults": {"plan": "loss-crash"},
+        "resilience": {
+            "retries": 2,
+            "timeout": 1.0,
+            "hedge_delay": None,
+            "clone_factor": "optimal",
+        },
+    },
+    "recovery": {
+        "workload": {"kind": "boutique", "scale": 0.1, "duration": 30.0},
+        "planes": _FOUR_PLANES,
+        "admission": {"overload": True},
+    },
+    "trace": {
+        "workload": {"kind": "boutique", "scale": 0.1, "duration": 10.0},
+        "planes": ["s-spright"],
+    },
+    "traffic": {
+        "workload": {
+            "kind": "synthetic-fleet",
+            "functions": 12,
+            "duration": 14400.0,
+            "processes": 1,
+        },
+        "planes": ["d-spright", "grpc", "knative", "s-spright"],
+        "keepalive": {
+            "policies": ["fixed", "kpa", "histogram", "pinned"],
+            "patterns": ["diurnal", "bursty"],
+        },
+        "slo": {"threshold_s": 0.25},
+    },
+    "cluster": {
+        "workload": {"duration": 2.0},
+        "planes": ["grpc", "s-spright", "lambda-nic"],
+        "cluster": {"nodes": 3, "placement": "all"},
+    },
+    "cloning": {"workload": {"duration": 20.0}},
 }
+
+#: Workload kinds an experiment runs besides its default one.
+_OTHER_KINDS = {"trace": ("motion",)}
 
 #: Sections every scenario may carry regardless of experiment.
 _UNIVERSAL_SECTIONS = (
@@ -260,22 +145,91 @@ _UNIVERSAL_SECTIONS = (
 )
 
 
-def resolve(doc: dict) -> ResolvedScenario:
-    """Validate + cross-check + flatten one scenario document."""
-    validate_scenario(doc)
-    experiment = doc["experiment"]
-    allowed, resolver = EXPERIMENT_SPECS[experiment]
-    for section in doc:
-        if section not in _UNIVERSAL_SECTIONS and section not in allowed:
+def _fail(path: str, message: str):
+    raise ScenarioValidationError(path, message)
+
+
+def _with_defaults(doc: dict) -> dict:
+    """``doc`` merged over its experiment's defaults, section by section."""
+    experiment = doc.get("experiment")
+    merged = copy.deepcopy(DEFAULTS.get(experiment, {}) if isinstance(experiment, str) else {})
+    for section, value in doc.items():
+        if isinstance(merged.get(section), dict) and isinstance(value, dict):
+            merged[section].update(value)
+        else:
+            merged[section] = value
+    return merged
+
+
+def _check_consumed(doc: dict, experiment: str) -> None:
+    defaults = DEFAULTS[experiment]
+    for section, value in doc.items():
+        if section in _UNIVERSAL_SECTIONS:
+            continue
+        if section not in defaults:
             _fail(
                 f"/{section}",
                 f"section not consumed by experiment {experiment!r} "
-                f"(allowed: {', '.join(allowed) or 'none'})",
+                f"(allowed: {', '.join(defaults) or 'none'})",
             )
+        if isinstance(value, dict):
+            for key in value:
+                if key not in defaults[section]:
+                    _fail(
+                        f"/{section}/{key}",
+                        f"key not consumed by experiment {experiment!r} "
+                        f"(allowed: {', '.join(defaults[section])})",
+                    )
+
+
+def _check_cross_fields(doc: dict, experiment: str) -> None:
+    """What the shape schema cannot say: kind per experiment, planes it runs."""
+    kind = doc.get("workload", {}).get("kind")
+    if kind is not None:
+        allowed = (DEFAULTS[experiment]["workload"]["kind"],)
+        allowed += _OTHER_KINDS.get(experiment, ())
+        if kind not in allowed:
+            _fail(
+                "/workload/kind",
+                f"{kind!r} does not run under experiment {experiment!r} "
+                f"(expected {' or '.join(map(repr, allowed))})",
+            )
+    planes = doc.get("planes", ())
+    if experiment == "trace" and len(planes) != 1:
+        _fail("/planes", "experiment 'trace' runs exactly one plane")
+    if "lambda-nic" in planes and experiment != "cluster":
+        _fail(
+            f"/planes/{planes.index('lambda-nic')}",
+            f"experiment {experiment!r} does not support 'lambda-nic' "
+            "(only 'cluster' runs it)",
+        )
+
+
+def _flatten(doc: dict, experiment: str) -> dict:
+    """The run_config dict: each consumed key under its own name, lists as tuples."""
+    config: dict = {}
+    for section in DEFAULTS[experiment]:
+        value = doc[section]
+        config.update(value if isinstance(value, dict) else {section: value})
+    return {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in config.items()
+    }
+
+
+def resolve(doc: dict) -> ResolvedScenario:
+    """Merge defaults, validate, cross-check and flatten one scenario document."""
+    if isinstance(doc, dict):
+        doc = _with_defaults(doc)
+    validate_scenario(doc)
+    experiment = doc["experiment"]
+    _check_consumed(doc, experiment)
+    doc = coerce_numbers(doc, SCENARIO_SCHEMA)
+    _check_cross_fields(doc, experiment)
 
     seed_spec = doc.get("seed", LEGACY_SEED)
     seed = derive_seed(doc["name"]) if seed_spec == "auto" else int(seed_spec)
-    config = resolver(doc)
+    config = _flatten(doc, experiment)
     if experiment in SEEDABLE:
         config["seed"] = seed
     elif seed != LEGACY_SEED:

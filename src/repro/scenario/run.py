@@ -1,10 +1,11 @@
 """Scenario execution: load -> override -> resolve -> dispatch -> report.
 
-``spright-repro run <scenario> [--set key=value …]`` lands here. The
-dispatch table maps each experiment family to the **same**
-``run_config`` entry point the flag CLI calls, so a scenario's stdout is
-byte-identical to the equivalent flag invocation (CI diffs the baseline
-boutique scenario against ``tests/goldens/fig910-smoke.txt``).
+``spright-repro run <scenario> [--set key=value …]`` lands here, and so
+does every flag command, as the scenario document its flags translate
+to. :func:`execute` dispatches each experiment family to its
+``run_config`` entry point, so a scenario's stdout is byte-identical to
+the equivalent flag invocation (``tests/test_goldens.py`` diffs the
+baseline boutique scenario against ``tests/goldens/fig910-smoke.txt``).
 
 Process-wide toggles from the ``observability`` section (trace, profile,
 sanitize) are saved and restored around the run, so embedding
@@ -123,10 +124,11 @@ def execute(resolved: ResolvedScenario) -> str:
 
     The observability section's process-wide toggles are scoped to this
     call; the active live dashboard (if any) learns the scenario name.
+    With ``observability.out`` set, this is the one place that writes
+    run output: the report (:func:`write_report`) and the trace, metrics
+    and flamegraph artifacts of every traced or profiled node.
     """
-    entry = _entry_points().get(resolved.experiment)
-    if entry is None:  # pragma: no cover - schema enum prevents this
-        raise ScenarioError(f"no entry point for {resolved.experiment!r}")
+    entry = _entry_points()[resolved.experiment]
     observability = resolved.observability
     saved_sanitize = default_sanitize()
     saved_observe = obs.default_observe()
@@ -141,21 +143,29 @@ def execute(resolved: ResolvedScenario) -> str:
                 trace=bool(observability.get("trace")),
                 profile=bool(observability.get("profile")),
             )
-        if observability.get("serve") and sink is None:
-            from ..cli import dashboard_session
-
-            with dashboard_session() as (serve_sink, _server):
-                serve_sink.set_scenario(resolved.name)
+        with obs.capture_sessions() as sessions:
+            if observability.get("serve") and sink is None:
+                with obs.live.dashboard_session() as (serve_sink, _server):
+                    serve_sink.set_scenario(resolved.name)
+                    report = entry(resolved.config)
+                    serve_sink.finalize()
+            else:
                 report = entry(resolved.config)
-                serve_sink.finalize()
-        else:
-            report = entry(resolved.config)
     finally:
         set_default_sanitize(saved_sanitize)
         obs.set_default_observe(*saved_observe)
     out = observability.get("out")
     if out:
-        write_report(resolved, report, Path(out))
+        directory = Path(out)
+        write_report(resolved, report, directory)
+        for index, session in enumerate(sessions, start=1):
+            obs.export.write_artifacts(
+                directory,
+                tracer=session.tracer,
+                registry=session.registry,
+                profiler=session.profiler,
+                basename=session.export_name or f"{resolved.name}-node{index}",
+            )
     return report
 
 

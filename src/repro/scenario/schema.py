@@ -1,12 +1,13 @@
 """The scenario document schema + a hand-rolled JSON-schema-style validator.
 
-The validator is deliberately tiny (the same spirit as the checked-in
-``tests/schemas/`` validators): it supports exactly the subset of JSON
-Schema the scenario grammar needs — ``type``, ``enum``, ``required``,
-``properties``, ``additionalProperties: false``, ``items``, numeric
-bounds, string bounds, and ``oneOf`` — and reports every violation with a
-JSON-pointer-style path (``/workload/scale``) so a typo in a 40-line
-scenario file points at the offending key, not at the file.
+The validator is deliberately tiny and is the repo's only one: it checks
+scenarios and the checked-in ``tests/schemas/`` files alike. It supports
+exactly the subset of JSON Schema those need — ``type``, ``enum``,
+``required``, ``properties``, ``additionalProperties: false``, ``items``,
+numeric bounds, string bounds, ``oneOf`` and ``if``/``then`` — and reports
+every violation with a JSON-pointer-style path (``/workload/scale``) so a
+typo in a 40-line scenario file points at the offending key, not at the
+file.
 
 Everything here is pure data-in/data-out: no file IO, no experiment
 imports. The enumerations are spelled out as literals (planes, policies,
@@ -111,7 +112,7 @@ INLINE_PLAN_SCHEMA = {
 }
 
 #: The scenario grammar. Section applicability per experiment lives in
-#: resolve.EXPERIMENT_SPECS; this schema is the shape contract.
+#: resolve.DEFAULTS; this schema is the shape contract.
 SCENARIO_SCHEMA = {
     "type": "object",
     "required": ["name", "experiment"],
@@ -166,10 +167,13 @@ SCENARIO_SCHEMA = {
                 "retries": {"type": "integer", "minimum": 0},
                 "timeout": _OPTIONAL_DELAY,
                 "hedge_delay": _OPTIONAL_DELAY,
-                # default "optimal": the PR 9 measured per-plane optimum
-                # (s-spright/d-spright d=2, knative/grpc d=1)
+                # "optimal": the measured per-plane optimum (s-spright and
+                # d-spright d=2, knative/grpc d=1); "off": d=1 everywhere
                 "clone_factor": {
-                    "oneOf": [{"type": "integer", "minimum": 1}, {"enum": ("optimal",)}]
+                    "oneOf": [
+                        {"type": "integer", "minimum": 1},
+                        {"enum": ("optimal", "off")},
+                    ]
                 },
             },
         },
@@ -336,7 +340,32 @@ def validate(value, schema: dict, path: str = "") -> list:
             for index, item in enumerate(value):
                 errors.extend(validate(item, schema["items"], f"{path}/{index}"))
 
+    if "if" in schema and not validate(value, schema["if"], path):
+        errors.extend(validate(value, schema.get("then", {}), path))
     return errors
+
+
+def coerce_numbers(value, schema: dict):
+    """``value`` with every integer at a ``number`` position made a float.
+
+    ``duration: 1`` in a file and ``--duration 1`` on the command line both
+    reach ``run_config`` as ``1.0``, so a report prints a number the same
+    way whichever spelling set it. ``value`` must already be valid.
+    """
+    if "oneOf" in schema:
+        branch = next(b for b in schema["oneOf"] if not validate(value, b))
+        return coerce_numbers(value, branch)
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        return {
+            key: coerce_numbers(item, properties[key]) if key in properties else item
+            for key, item in value.items()
+        }
+    if isinstance(value, list) and "items" in schema:
+        return [coerce_numbers(item, schema["items"]) for item in value]
+    if schema.get("type") == "number" and _TYPE_CHECKS["integer"](value):
+        return float(value)
+    return value
 
 
 def validation_errors(doc) -> list:

@@ -2,8 +2,8 @@
 
 The in-module validator (``repro.bench.validate_payload``) and the
 checked-in JSON Schema (``tests/schemas/bench.schema.json``) describe the
-same shape; a test here holds them in agreement using the same hand-rolled
-validator the trace-event schema uses.
+same shape; a test here holds them in agreement using the repo's one
+JSON-schema validator, :func:`repro.scenario.schema.validate`.
 """
 
 import json
@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import bench, cli
-from tests.test_obs_trace import validate
+from repro import bench
+from repro.scenario.schema import validate
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "bench.schema.json"
 
@@ -213,22 +213,3 @@ def test_run_bench_single_cell_is_valid_and_deterministic():
     second = bench.run_bench(**kwargs)
     assert second["totals"]["requests"] == first["totals"]["requests"]
     assert second["totals"]["events"] == first["totals"]["events"]
-
-
-# -- CLI ----------------------------------------------------------------------
-
-def test_cli_bench_writes_trajectory_and_gates(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(bench, "run_bench", lambda **_kw: _payload())
-    code = cli.main(["bench", "--bench-dir", str(tmp_path)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "first trajectory point" in out
-    written = tmp_path / f"BENCH_{bench.PR_NUMBER}.json"
-    assert written.exists()
-    # Second run now has a baseline (write an older PR's file) and gates.
-    bench.write_trajectory(_payload(pr=7), tmp_path)
-    code = cli.main(["bench", "--bench-dir", str(tmp_path), "--tolerance", "0.2"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "baseline: BENCH_7.json" in out
-    assert "bench regression gate passed" in out

@@ -5,6 +5,7 @@ import pytest
 from repro.cli import COMMANDS, build_parser, main
 from repro.dataplane import DSprightDataplane, Request, RequestClass, SSprightDataplane
 from repro.runtime import FunctionSpec, WorkerNode
+from repro.scenario import EXPERIMENT_NAMES
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -33,6 +34,75 @@ def test_cli_xdp_command(capsys):
     assert main(["xdp", "--duration", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "acceleration" in out
+
+
+@pytest.fixture()
+def no_simulation(monkeypatch):
+    """Entry points that fail the test if any experiment starts."""
+    from repro.scenario import run
+
+    def refuse(config):
+        raise AssertionError(f"simulation started with {config}")
+
+    monkeypatch.setattr(
+        run, "_entry_points", lambda: {name: refuse for name in EXPERIMENT_NAMES}
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, pointer",
+    [
+        ("motion --duration 0", "/workload/duration"),
+        ("boutique --duration -1", "/workload/duration"),
+        ("boutique --scale 0", "/workload/scale"),
+        ("boutique --scale 2", "/workload/scale"),
+        ("cluster --nodes 0", "/cluster/nodes"),
+        ("cluster --nodes -2", "/cluster/nodes"),
+        ("cluster --placement nope", "/cluster/placement"),
+        ("traffic --functions 0", "/workload/functions"),
+        ("traffic --processes 0", "/workload/processes"),
+        ("fig5 --max-concurrency 0", "/workload/max_concurrency"),
+        ("faults --retries -1", "/resilience/retries"),
+        ("faults --request-timeout 0", "/resilience/timeout"),
+        ("faults --clone-factor 0", "/resilience/clone_factor"),
+        ("faults --planes grpc lambda-nic", "/planes/1"),
+        ("traffic --planes lambda-nic", "/planes/0"),
+        ("boutique --retries 3", "/resilience"),
+        ("tables --duration 5", "/workload"),
+    ],
+)
+def test_bad_flag_values_are_rejected_with_a_pointer(
+    argv, pointer, capsys, no_simulation
+):
+    command = argv.split()[0]
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith(f"spright-repro {command}: {pointer}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_all_runs_its_fixed_argvs_through_the_scenario_path(capsys, monkeypatch):
+    from repro.scenario import run
+
+    def echo(name):
+        return lambda config: f"{name} {config}"
+
+    monkeypatch.setattr(
+        run, "_entry_points", lambda: {name: echo(name) for name in EXPERIMENT_NAMES}
+    )
+    assert main(["all"]) == 0
+    sections = capsys.readouterr().out.rstrip("\n").split("\n\n")
+    assert sections == [
+        "tables {}",
+        "fig2 {'duration': 2.0}",
+        "fig5 {'duration': 1.0, 'max_concurrency': 64}",
+        "motion {'kind': 'motion', 'duration': 1200.0, 'seed': 2022}",
+        "parking {'kind': 'parking', 'duration': 700.0, 'seed': 2022}",
+        "xdp {'duration': 1.0}",
+        "ablations {}",
+    ]
 
 
 # -- Appendix A: packet data flow in S-SPRIGHT (Fig 13) ----------------------------

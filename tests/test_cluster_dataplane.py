@@ -81,7 +81,6 @@ def test_traced_multinode_run_is_byte_identical_to_untraced():
         traced = run_cluster_case("s-spright", "bin_pack", 3, **kwargs)
     finally:
         obs.set_default_observe(trace=False)
-        obs.reset_sessions()
 
     assert traced.recorder.count("") == untraced.recorder.count("")
     assert traced.recorder.summary("").p99 == untraced.recorder.summary("").p99

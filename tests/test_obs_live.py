@@ -312,7 +312,6 @@ def test_sink_spans_section_carries_waterfall_rows():
     waterfall = section["waterfalls"][-1]
     assert waterfall["node"] == "worker-1"
     assert waterfall["rows"]
-    obs.reset_sessions()
 
 
 # -- the HTTP server ----------------------------------------------------------

@@ -1,10 +1,9 @@
 """End-to-end observability tests: export schema, coverage, reconciliation.
 
 The trace-event JSON is validated against the checked-in schema at
-``tests/schemas/trace_event.schema.json`` with a small hand-rolled
-validator (no external jsonschema dependency) covering the subset of JSON
-Schema the file uses: type, required, properties, items, enum, minimum,
-if/then.
+``tests/schemas/trace_event.schema.json`` with the repo's one JSON-schema
+validator, :func:`repro.scenario.schema.validate` (no external jsonschema
+dependency).
 """
 
 import json
@@ -14,52 +13,9 @@ import pytest
 
 from repro import cli, obs
 from repro.experiments import trace_exp
+from repro.scenario.schema import validate
 
 SCHEMA_PATH = Path(__file__).parent / "schemas" / "trace_event.schema.json"
-
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "number": (int, float),
-    "boolean": bool,
-}
-
-
-def validate(instance, schema, path="$"):
-    """Minimal JSON Schema validator for the subset the trace schema uses."""
-    errors = []
-    expected = schema.get("type")
-    if expected is not None:
-        python_type = _TYPES[expected]
-        ok = isinstance(instance, python_type)
-        if expected == "integer" and isinstance(instance, bool):
-            ok = False
-        if expected == "number" and isinstance(instance, bool):
-            ok = False
-        if not ok:
-            return [f"{path}: expected {expected}, got {type(instance).__name__}"]
-    if "enum" in schema and instance not in schema["enum"]:
-        errors.append(f"{path}: {instance!r} not in {schema['enum']}")
-    if "minimum" in schema and isinstance(instance, (int, float)):
-        if instance < schema["minimum"]:
-            errors.append(f"{path}: {instance} < minimum {schema['minimum']}")
-    if isinstance(instance, dict):
-        for key in schema.get("required", []):
-            if key not in instance:
-                errors.append(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
-            if key in instance:
-                errors.extend(validate(instance[key], subschema, f"{path}.{key}"))
-        if "if" in schema:
-            matches = not validate(instance, schema["if"], path)
-            if matches and "then" in schema:
-                errors.extend(validate(instance, schema["then"], path))
-    if isinstance(instance, list) and "items" in schema:
-        for index, item in enumerate(instance):
-            errors.extend(validate(item, schema["items"], f"{path}[{index}]"))
-    return errors
 
 
 def test_validator_rejects_bad_payloads():
@@ -70,17 +26,20 @@ def test_validator_rejects_bad_payloads():
         "displayTimeUnit": "ms",
         "otherData": {"producer": "p", "spanCount": 0, "requestCount": 0},
     }
-    assert validate(bad_event, schema)
+    errors = validate(bad_event, schema)
+    assert {message for _path, message in errors} == {
+        f"missing required key {key!r}" for key in ("ts", "dur", "tid", "cat")
+    }
+    metadata_event = dict(bad_event, traceEvents=[{"name": "x", "ph": "M", "pid": 1}])
+    assert validate(metadata_event, schema) == []
 
 
 @pytest.fixture(scope="module")
 def traced_run():
-    obs.reset_sessions()
     run = trace_exp.run_traced(
         plane="s-spright", workload="boutique", scale=0.05, duration=3.0
     )
-    yield run
-    obs.reset_sessions()
+    return run
 
 
 def test_trace_payload_matches_schema(traced_run):
@@ -170,7 +129,6 @@ def test_traced_run_tables_byte_identical():
 
 
 def test_cli_trace_command_writes_valid_artifacts(tmp_path, capsys):
-    obs.reset_sessions()
     code = cli.main(
         [
             "trace",
@@ -202,11 +160,9 @@ def test_cli_trace_command_writes_valid_artifacts(tmp_path, capsys):
     assert "spright_ops_sspright_copy_total" in metrics_text
     # Defaults restored: the trace command must not leak tracing.
     assert obs.default_observe() == (False, False)
-    obs.reset_sessions()
 
 
 def test_cli_global_trace_flags_export_artifacts(tmp_path, capsys):
-    obs.reset_sessions()
     try:
         code = cli.main(
             [
@@ -230,4 +186,3 @@ def test_cli_global_trace_flags_export_artifacts(tmp_path, capsys):
             assert not validate(json.loads(path.read_text()), schema)
     finally:
         obs.set_default_observe(trace=False, profile=False)
-        obs.reset_sessions()

@@ -213,6 +213,46 @@ def test_scenario_stdout_byte_identical_to_flags(tmp_path):
     assert "fig2-ident" not in run_out
 
 
+def test_trace_scenario_stdout_byte_identical_to_flags(tmp_path):
+    # An integer duration in a scenario must print like --duration 1 (1.00).
+    scenario = tmp_path / "trace-ident.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "name": "trace-ident",
+                "experiment": "trace",
+                "workload": {"duration": 1, "scale": 0.05},
+            }
+        )
+    )
+    code, run_out, _ = _capture_main(["run", str(scenario)])
+    assert code == 0
+    flag_code, flag_out, _ = _capture_main(
+        ["trace", "--duration", "1", "--scale", "0.05"]
+    )
+    assert flag_code == 0
+    assert run_out == flag_out
+
+
+def test_trace_scenario_out_writes_trace_artifacts(tmp_path):
+    out_dir = tmp_path / "out"
+    scenario = tmp_path / "traced.json"
+    scenario.write_text(
+        json.dumps(
+            {
+                "name": "traced",
+                "experiment": "trace",
+                "workload": {"duration": 0.5, "scale": 0.05},
+                "observability": {"out": str(out_dir)},
+            }
+        )
+    )
+    _resolved, report = run_scenario(str(scenario))
+    assert (out_dir / "traced.txt").read_text() == report + "\n"
+    for suffix in ("trace.json", "metrics.txt", "folded.txt"):
+        assert (out_dir / f"sspright-boutique.{suffix}").stat().st_size > 0
+
+
 def test_execute_restores_process_wide_toggles(tmp_path):
     from repro import obs
     from repro.mem import default_sanitize

@@ -4,12 +4,13 @@ import pytest
 
 from repro.scenario import (
     ARRIVAL_PATTERNS,
+    DEFAULTS,
     EXPERIMENT_NAMES,
-    EXPERIMENT_SPECS,
     FAULT_KINDS,
     KEEPALIVE_POLICIES,
     PLACEMENT_POLICIES,
     PLANE_NAMES,
+    SCENARIO_SCHEMA,
     ScenarioOverrideError,
     ScenarioValidationError,
     apply_overrides,
@@ -102,8 +103,8 @@ def test_clone_factor_forms():
 
     assert validation_errors(res(2)) == []
     assert validation_errors(res("optimal")) == []
+    assert validation_errors(res("off")) == []
     assert validation_errors(res(0))
-    assert validation_errors(res("off"))  # CLI spelling, not scenario spelling
 
 
 def test_inline_fault_plan_validation():
@@ -176,8 +177,8 @@ def test_conflicting_overrides(assignments, needle):
 def test_experiment_names_match_cli_commands():
     from repro.cli import COMMANDS
 
-    assert set(EXPERIMENT_NAMES) == set(COMMANDS) - {"bench", "all"}
-    assert set(EXPERIMENT_NAMES) == set(EXPERIMENT_SPECS)
+    assert set(EXPERIMENT_NAMES) == set(COMMANDS) - {"all"}
+    assert set(EXPERIMENT_NAMES) == set(DEFAULTS)
 
 
 def test_plane_names_match_experiment_registry():
@@ -204,12 +205,28 @@ def test_fault_kinds_match_injector_enum():
     assert set(FAULT_KINDS) == {kind.value for kind in FaultKind}
 
 
-def test_arrival_patterns_match_cli_choices():
-    from repro.cli import build_parser
+def test_arrival_patterns_are_fleet_patterns():
+    from repro.traffic.arrivals import FleetParams
 
-    parser = build_parser()
-    choices = parser._option_string_actions["--patterns"].choices
-    assert set(ARRIVAL_PATTERNS) == set(choices)
+    for pattern in ARRIVAL_PATTERNS:
+        assert FleetParams(pattern=pattern).pattern == pattern
+
+
+def test_every_flag_path_exists_in_the_schema():
+    from repro.cli import FLAGS
+
+    for flag, (path, _form, _help) in FLAGS.items():
+        node = SCENARIO_SCHEMA
+        for part in path.split("."):
+            assert part in node.get("properties", {}), (flag, path)
+            node = node["properties"][part]
+
+
+def test_defaults_table_is_valid_for_every_experiment():
+    for experiment, defaults in DEFAULTS.items():
+        doc = dict(defaults, name="d", experiment=experiment)
+        assert validation_errors(doc) == [], experiment
+        assert resolve(doc).experiment == experiment
 
 
 def test_fault_plan_help_lists_every_named_plan():
